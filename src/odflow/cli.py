@@ -437,6 +437,8 @@ def cmd_predict(args):
         params, ha, meta = load_checkpoint(args.checkpoint)
     except FileNotFoundError:
         raise CliError(f"checkpoint not found: {args.checkpoint}")
+    except ValueError as exc:
+        raise CliError(str(exc))
     if meta["grid"] != store.grid.to_dict():
         raise CliError("checkpoint grid does not match the graph store grid")
     model_cfg = ModelConfig.from_dict(meta["model_config"])

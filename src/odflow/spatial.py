@@ -214,13 +214,14 @@ def attention_score(a, e_i_proj, e_j_preweighted, slope=0.2):
 
 
 def _class_weights(u, v, preweight, mask, slope):
-    """Normalized attention weights over one neighbor class (n x n).
+    """Normalized attention weights over one neighbor class (n x n):
+    score[i, j] = u[i] + preweight[i, j] * v[j], with ``u`` an (n, 1) column.
 
     Rows with an empty class come out all zero, so the class contributes
     nothing to the merge.
     """
-    score = tc.add_colvec(tc.scale_cols(tc.constant(preweight), v), u)
-    return tc.masked_softmax_rows(tc.leaky_relu(score, slope), mask)
+    score = tc.add(tc.mul(preweight, v), u)
+    return tc.softmax_rows(tc.leaky_relu(score, slope), mask)
 
 
 def spatial_layer(params, cfg: EmbeddingConfig, ctx: SlotContext, embeddings, sink=None):
@@ -239,7 +240,7 @@ def spatial_layer(params, cfg: EmbeddingConfig, ctx: SlotContext, embeddings, si
         proj = tc.matmul(embeddings, tc.transpose(w_c))
         a_self = tc.rows(a, np.arange(zp))
         a_neigh = tc.rows(a, np.arange(zp, 2 * zp))
-        u = tc.matmul(proj, a_self)
+        u = tc.reshape(tc.matmul(proj, a_self), (-1, 1))
         v = tc.matmul(proj, a_neigh)
         w_f = _class_weights(u, v, ctx.alpha, ctx.forward_mask, cfg.leaky_slope)
         w_b = _class_weights(u, v, ctx.beta, ctx.backward_mask, cfg.leaky_slope)
@@ -251,7 +252,7 @@ def spatial_layer(params, cfg: EmbeddingConfig, ctx: SlotContext, embeddings, si
         merged = tc.matmul(proj, tc.transpose(w_s))
         attn = tc.add(tc.add(w_f, w_b), w_q)
         head = tc.add(merged, tc.matmul(attn, merged))
-        gate = tc.sigmoid(tc.reshape(tc.rows(gates, [h]), ()))
-        head_outputs.append(tc.scale_t(head, gate))
+        gate = tc.sigmoid(tc.rows(gates, [h]))
+        head_outputs.append(tc.mul(head, gate))
     stacked = tc.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
     return tc.matmul(stacked, tc.transpose(params["spatial.w_o"]))

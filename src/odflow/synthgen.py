@@ -19,6 +19,10 @@ import numpy as np
 
 from .geogrid import bbox_for_grid, build_grid
 
+# Points keep this far (degrees) from their cell's edges, so that writing them
+# with %.6f (an error of at most 5e-7 degrees) cannot move them to another cell.
+JITTER_MARGIN_DEG = 1e-5
+
 
 @dataclass(frozen=True)
 class EventShock:
@@ -150,8 +154,8 @@ def generate(cfg: SynthConfig, out_path):
         row, col = divmod(cell_index - 1, grid.cols)
         lat_hi = grid.max_lat - row * dlat
         lon_lo = grid.min_lon + col * dlon
-        lat = lat_hi - rng.uniform(0.0, dlat)
-        lon = lon_lo + rng.uniform(0.0, dlon)
+        lat = lat_hi - rng.uniform(JITTER_MARGIN_DEG, dlat - JITTER_MARGIN_DEG)
+        lon = lon_lo + rng.uniform(JITTER_MARGIN_DEG, dlon - JITTER_MARGIN_DEG)
         return lat, lon
 
     trip_count = 0

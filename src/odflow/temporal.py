@@ -77,7 +77,7 @@ def scaled_dot_attend(e_target, e_hist, w_q, w_k, w_v, sink=None):
     q = tc.matmul(e_target, tc.transpose(w_q))
     k = tc.matmul(e_hist, tc.transpose(w_k))
     v = tc.matmul(e_hist, tc.transpose(w_v))
-    sims = tc.scale(tc.matmul(q, tc.transpose(k)), 1.0 / math.sqrt(dim))
+    sims = tc.mul(tc.matmul(q, tc.transpose(k)), 1.0 / math.sqrt(dim))
     weights = tc.softmax_rows(sims)
     if sink is not None:
         sink.setdefault("temporal", []).append(weights.data)
@@ -101,21 +101,17 @@ def fuse_channels(params, e_target, channel_reprs, sink=None):
         raise ValueError("at least one channel representation is required")
     w_q, w_k, w_v = params["fusion.wq"], params["fusion.wk"], params["fusion.wv"]
     dim = w_q.shape[0]
-    n = e_target.shape[0]
-    q = tc.matmul(e_target, tc.transpose(w_q))
-    keys = [tc.matmul(c, tc.transpose(w_k)) for c in channel_reprs]
-    values = [tc.matmul(c, tc.transpose(w_v)) for c in channel_reprs]
-    score_cols = [tc.reshape(tc.scale(tc.sum_rows(tc.mul(q, k)), 1.0 / math.sqrt(dim)), (n, 1))
-                  for k in keys]
-    scores = tc.concat(score_cols, axis=1) if len(score_cols) > 1 else score_cols[0]
+    n, c = e_target.shape[0], len(channel_reprs)
+    # row i * c + k of the stack is cell i's representation in channel k
+    stack = tc.reshape(tc.concat(channel_reprs, axis=1), (n * c, -1))
+    q = tc.reshape(tc.matmul(e_target, tc.transpose(w_q)), (n, 1, -1))
+    keys = tc.reshape(tc.matmul(stack, tc.transpose(w_k)), (n, c, -1))
+    values = tc.reshape(tc.matmul(stack, tc.transpose(w_v)), (n, c, -1))
+    scores = tc.mul(tc.sum(tc.mul(q, keys), axis=2), 1.0 / math.sqrt(dim))
     weights = tc.softmax_rows(scores)
     if sink is not None:
         sink.setdefault("fusion", []).append(weights.data)
-    out = None
-    for c, v in enumerate(values):
-        term = tc.scale_rows(v, tc.cols(weights, c))
-        out = term if out is None else tc.add(out, term)
-    return out
+    return tc.sum(tc.mul(tc.reshape(weights, (n, c, 1)), values), axis=1)
 
 
 def temporal_layer(params, e_target, per_channel_histories, sink=None):

@@ -5,13 +5,16 @@ list); ``tape.backward(loss)`` walks it once in reverse and accumulates
 gradients into ``Tensor.grad`` buffers. Outside a tape, ops are plain numpy
 forward computations, which is what evaluation uses.
 
-Only the operations the prediction model needs are provided; there is no
-general broadcasting.
+Only the operations the prediction model needs are provided. ``add`` and
+``mul`` broadcast their operands by numpy's rules, and their gradients are
+summed back over the broadcast axes, so call sites never pick an op by shape.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+
 import numpy as np
 
 
@@ -129,55 +132,59 @@ def parameter(data, name=None):
 # primitives
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check(a.data.shape == b.data.shape, "add", a.data.shape, b.data.shape)
-    out = Tensor(a.data + b.data)
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else constant(x)
+
+
+def _broadcast(op, fn, a, b):
+    try:
+        return Tensor(fn(a.data, b.data))
+    except ValueError:
+        raise ShapeError(f"{op}: incompatible shapes {a.data.shape} vs {b.data.shape}") from None
+
+
+@functools.lru_cache(maxsize=None)   # a training step repeats a few shape pairs ~1,000 times
+def _broadcast_axes(out_shape, shape):
+    """Axes of ``out_shape`` along which an operand of ``shape`` was broadcast."""
+    lead = len(out_shape) - len(shape)
+    return tuple(range(lead)) + tuple(
+        lead + i for i, size in enumerate(shape) if size == 1 and out_shape[lead + i] != 1)
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient of a broadcast result back to one operand's shape."""
+    if g.shape == shape:
+        return g
+    return g.sum(axis=_broadcast_axes(g.shape, shape)).reshape(shape)
+
+
+def add(a, b) -> Tensor:
+    """Elementwise sum; operands broadcast by numpy's rules, and a Python
+    scalar or array operand is a constant."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = _broadcast("add", np.add, a, b)
 
     def vjp(g):
         if a.requires_grad:
-            a.accumulate(g)
+            a.accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate(g)
+            b.accumulate(_unbroadcast(g, b.shape))
 
     return _record(out, (a, b), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check(a.data.shape == b.data.shape, "mul", a.data.shape, b.data.shape)
-    out = Tensor(a.data * b.data)
+def mul(a, b) -> Tensor:
+    """Elementwise product, broadcasting as :func:`add` does."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = _broadcast("mul", np.multiply, a, b)
 
     def vjp(g):
         if a.requires_grad:
-            a.accumulate(g * b.data)
+            a.accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.accumulate(g * a.data)
+            b.accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
-
-    return _record(out, (a,), vjp)
-
-
-def scale_t(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar tensor (gradients flow to both)."""
-    _check(s.data.shape == (), "scale_t", a.data.shape, s.data.shape)
-    out = Tensor(a.data * s.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate(g * s.data)
-        if s.requires_grad:
-            s.accumulate(np.sum(g * a.data))
-
-    return _record(out, (a, s), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -186,28 +193,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check(a.data.shape[-1] == b.data.shape[0], "matmul", a.data.shape, b.data.shape)
     out = Tensor(a.data @ b.data)
 
-    if an == 2 and bn == 2:
-        def vjp(g):
-            if a.requires_grad:
-                a.accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate(a.data.T @ g)
-    else:
-        def vjp(g):
-            a2 = a.data if an == 2 else a.data[None, :]
-            b2 = b.data if bn == 2 else b.data[:, None]
-            if an == 1 and bn == 1:
-                g2 = np.asarray(g).reshape(1, 1)
-            elif an == 1:
-                g2 = g[None, :]
-            else:
-                g2 = g[:, None]
-            if a.requires_grad:
-                ga = g2 @ b2.T
-                a.accumulate(ga[0] if an == 1 else ga)
-            if b.requires_grad:
-                gb = a2.T @ g2
-                b.accumulate(gb[:, 0] if bn == 1 else gb)
+    def vjp(g):
+        # an operand whose partner is a vector gets an outer-product gradient
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T if bn == 2 else np.multiply.outer(g, b.data))
+        if b.requires_grad:
+            b.accumulate(a.data.T @ g if an == 2 else np.multiply.outer(a.data, g))
 
     return _record(out, (a, b), vjp)
 
@@ -264,107 +255,17 @@ def rows(table: Tensor, idx) -> Tensor:
     return _record(out, (table,), vjp)
 
 
-def cols(m: Tensor, j: int) -> Tensor:
-    _check(m.data.ndim == 2, "cols", m.data.shape)
-    out = Tensor(m.data[:, j])
-
-    def vjp(g):
-        if m.requires_grad:
-            buf = np.zeros_like(m.data)
-            buf[:, j] = g
-            m.accumulate(buf)
-
-    return _record(out, (m,), vjp)
-
-
-def sum_rows(a: Tensor) -> Tensor:
-    """Sum each row of a matrix, returning a vector of row totals."""
-    _check(a.data.ndim == 2, "sum_rows", a.data.shape)
-    out = Tensor(a.data.sum(axis=1))
+def sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    """Sum over ``axis`` (every axis when None), as numpy's ``sum`` does."""
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def vjp(g):
         if a.requires_grad:
-            a.accumulate(np.repeat(g[:, None], a.shape[1], axis=1))
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a.accumulate(np.broadcast_to(g, a.shape))
 
     return _record(out, (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate(np.full(a.shape, g, dtype=np.float64))
-
-    return _record(out, (a,), vjp)
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    _check(m.data.ndim == 2 and v.data.shape == (m.data.shape[1],), "add_rowvec", m.data.shape, v.data.shape)
-    out = Tensor(m.data + v.data[None, :])
-
-    def vjp(g):
-        if m.requires_grad:
-            m.accumulate(g)
-        if v.requires_grad:
-            v.accumulate(g.sum(axis=0))
-
-    return _record(out, (m, v), vjp)
-
-
-def add_colvec(m: Tensor, v: Tensor) -> Tensor:
-    _check(m.data.ndim == 2 and v.data.shape == (m.data.shape[0],), "add_colvec", m.data.shape, v.data.shape)
-    out = Tensor(m.data + v.data[:, None])
-
-    def vjp(g):
-        if m.requires_grad:
-            m.accumulate(g)
-        if v.requires_grad:
-            v.accumulate(g.sum(axis=1))
-
-    return _record(out, (m, v), vjp)
-
-
-def scale_rows(m: Tensor, v: Tensor) -> Tensor:
-    """out[i, j] = m[i, j] * v[i]."""
-    _check(m.data.ndim == 2 and v.data.shape == (m.data.shape[0],), "scale_rows", m.data.shape, v.data.shape)
-    out = Tensor(m.data * v.data[:, None])
-
-    def vjp(g):
-        if m.requires_grad:
-            m.accumulate(g * v.data[:, None])
-        if v.requires_grad:
-            v.accumulate((g * m.data).sum(axis=1))
-
-    return _record(out, (m, v), vjp)
-
-
-def scale_cols(m: Tensor, v: Tensor) -> Tensor:
-    """out[i, j] = m[i, j] * v[j]."""
-    _check(m.data.ndim == 2 and v.data.shape == (m.data.shape[1],), "scale_cols", m.data.shape, v.data.shape)
-    out = Tensor(m.data * v.data[None, :])
-
-    def vjp(g):
-        if m.requires_grad:
-            m.accumulate(g * v.data[None, :])
-        if v.requires_grad:
-            v.accumulate((g * m.data).sum(axis=0))
-
-    return _record(out, (m, v), vjp)
-
-
-def outer_sum(u: Tensor, v: Tensor) -> Tensor:
-    """out[i, j] = u[i] + v[j]."""
-    _check(u.data.ndim == 1 and v.data.ndim == 1, "outer_sum", u.data.shape, v.data.shape)
-    out = Tensor(u.data[:, None] + v.data[None, :])
-
-    def vjp(g):
-        if u.requires_grad:
-            u.accumulate(g.sum(axis=1))
-        if v.requires_grad:
-            v.accumulate(g.sum(axis=0))
-
-    return _record(out, (u, v), vjp)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -381,7 +282,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # two-branch form is exact at +/-inf and never overflows
     x = a.data
-    y = np.empty_like(x)
     neg = x < 0
     with np.errstate(over="ignore"):
         e = np.exp(np.where(neg, x, -x))
@@ -410,41 +310,31 @@ def softplus(a: Tensor) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    _check(a.data.ndim == 2, "softmax_rows", a.data.shape)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    def vjp(g):
-        if a.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            a.accumulate(y * (g - dot))
-
-    return _record(out, (a,), vjp)
-
-
-def masked_softmax_rows(a: Tensor, mask) -> Tensor:
-    """Row softmax restricted to True entries of a constant boolean mask.
-
-    A row with no True entries comes out all zero (the softmax over an
-    empty set is the empty sum).
+def softmax_rows(a: Tensor, mask=None) -> Tensor:
+    """Softmax over the last axis. With a constant boolean ``mask`` only its
+    True entries take part, and a row with no True entry comes out all zero
+    (the softmax over an empty set is the empty sum).
     """
-    _check(a.data.ndim == 2, "masked_softmax_rows", a.data.shape)
-    mask = np.asarray(mask, dtype=bool)
-    _check(mask.shape == a.data.shape, "masked_softmax_rows", a.data.shape, mask.shape)
-    neg = np.where(mask, a.data, -np.inf)
-    rowmax = neg.max(axis=1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.where(mask, np.exp(a.data - rowmax), 0.0)
-    denom = e.sum(axis=1, keepdims=True)
-    y = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+    x = a.data
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        _check(mask.shape == x.shape, "softmax_rows", x.shape, mask.shape)
+        rowmax = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
+        # masked entries enter exp as 0, so they cannot overflow; exp(-inf)
+        # would be as safe but takes numpy's slow path for special values
+        e = np.where(mask, x - rowmax, 0.0)
+        np.exp(e, out=e)
+        e *= mask
+        denom = e.sum(axis=-1, keepdims=True)
+        y = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
     out = Tensor(y)
 
     def vjp(g):
         if a.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
+            dot = (g * y).sum(axis=-1, keepdims=True)
             a.accumulate(y * (g - dot))
 
     return _record(out, (a,), vjp)
@@ -563,16 +453,25 @@ def load_tensors(path):
     """Read a container written by :func:`save_tensors` -> (tensors, meta)."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != _MAGIC:
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise ValueError(f"{path}: not a tensor container")
         if header.get("version") != _VERSION:
             raise ValueError(f"{path}: unsupported container version {header.get('version')}")
         body = fh.read()
+    expected = 0
+    for spec in header["tensors"].values():
+        expected += 8 * int(np.prod(spec["shape"]))
+    if len(body) != expected:
+        raise ValueError(f"{path}: the header lays out {expected} bytes of tensors, "
+                         f"but the file holds {len(body)} (truncated or corrupt)")
     tensors = {}
     for name, spec in header["tensors"].items():
         shape = tuple(spec["shape"])
-        size = int(np.prod(shape)) if shape else 1
+        size = int(np.prod(shape))
         start = spec["offset"]
         raw = body[start:start + size * 8]
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

@@ -55,6 +55,9 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size != 1:
             raise ValueError("batch size is fixed at 1")
+        # 0 is allowed: a run that must leave the initial weights as they are
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
     def model_config(self) -> ModelConfig:
         embed = EmbeddingConfig(embed_dim=self.embed_dim, proj_dim=self.proj_dim,
@@ -175,9 +178,9 @@ def _target_loss(model, cfg: TrainConfig, key, actual_demand, actual_od):
     delta_hat, od_hat = model.forward(key)
     loss = None
     if cfg.task in ("demand", "both"):
-        loss = tc.scale(tc.smooth_l1(delta_hat, tc.constant(actual_demand)), cfg.w_demand)
+        loss = tc.mul(tc.smooth_l1(delta_hat, tc.constant(actual_demand)), cfg.w_demand)
     if cfg.task in ("od", "both"):
-        od_loss = tc.scale(tc.smooth_l1(od_hat, tc.constant(actual_od)), cfg.w_od)
+        od_loss = tc.mul(tc.smooth_l1(od_hat, tc.constant(actual_od)), cfg.w_od)
         loss = od_loss if loss is None else tc.add(loss, od_loss)
     return loss
 

@@ -82,8 +82,8 @@ class HistoricalAverage:
 
 def _gate_blend(raw, ha_values, gate_logit):
     gate = tc.sigmoid(gate_logit)
-    complement = tc.add(tc.scale(gate, -1.0), tc.constant(np.float64(1.0)))
-    return tc.add(tc.scale_t(raw, gate), tc.scale_t(tc.constant(ha_values), complement))
+    complement = tc.add(tc.mul(gate, -1.0), 1.0)
+    return tc.add(tc.mul(raw, gate), tc.mul(ha_values, complement))
 
 
 def demand_head(params, e_final, ha_demand=None, slope=0.2):
@@ -93,11 +93,11 @@ def demand_head(params, e_final, ha_demand=None, slope=0.2):
     None to run the network head alone.
     """
     h1 = tc.leaky_relu(
-        tc.add_rowvec(tc.matmul(e_final, tc.transpose(params["transfer.ff_w1"])),
-                      params["transfer.ff_b1"]),
+        tc.add(tc.matmul(e_final, tc.transpose(params["transfer.ff_w1"])),
+               params["transfer.ff_b1"]),
         slope)
-    out = tc.add_rowvec(tc.matmul(h1, tc.transpose(params["transfer.ff_w2"])),
-                        params["transfer.ff_b2"])
+    out = tc.add(tc.matmul(h1, tc.transpose(params["transfer.ff_w2"])),
+                 params["transfer.ff_b2"])
     raw = tc.softplus(tc.reshape(out, (e_final.shape[0],)))
     if ha_demand is None:
         return raw
@@ -111,9 +111,9 @@ def transfer_probabilities(params, e_final, slope=0.2, sink=None):
     zp = params["transfer.w_p"].shape[0]
     a_self = tc.rows(params["transfer.a_p"], np.arange(zp))
     a_other = tc.rows(params["transfer.a_p"], np.arange(zp, 2 * zp))
-    u = tc.matmul(proj, a_self)
+    u = tc.reshape(tc.matmul(proj, a_self), (-1, 1))
     v = tc.matmul(proj, a_other)
-    scores = tc.leaky_relu(tc.outer_sum(u, v), slope)
+    scores = tc.leaky_relu(tc.add(u, v), slope)
     probs = tc.softmax_rows(scores)
     if sink is not None:
         sink.setdefault("transfer", []).append(probs.data)
@@ -123,7 +123,7 @@ def transfer_probabilities(params, e_final, slope=0.2, sink=None):
 def compose_od(params, delta_hat, probabilities, ha_od=None):
     """OD matrix prediction: per-origin demand split by transfer probability,
     optionally blended with the historical-average OD table."""
-    raw = tc.scale_rows(probabilities, delta_hat)
+    raw = tc.mul(probabilities, tc.reshape(delta_hat, (-1, 1)))
     if ha_od is None:
         return raw
     return _gate_blend(raw, np.asarray(ha_od, dtype=np.float64),

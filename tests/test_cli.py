@@ -171,6 +171,32 @@ def test_train_rejects_unknown_config_fields(pipeline, tmp_path, capsys):
     assert "learning_rte" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", ["nan", "-1"])
+def test_train_rejects_bad_learning_rate(pipeline, tmp_path, capsys, lr):
+    _, _, graphs, _ = pipeline
+    code = main(["train", "--graphs", str(graphs), "--checkpoint", str(tmp_path / "c.ckpt"),
+                 "--quiet", *TINY, f"--lr={lr}"])
+    assert code == 1
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "c.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--no-timestamp"],
+                                     ["predict", "--day", "11", "--slot", "8", "--no-timestamp"]])
+def test_truncated_or_foreign_checkpoint_exits_one(pipeline, tmp_path, capsys, command):
+    _, _, graphs, ckpt = pipeline
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:-100])
+    foreign = tmp_path / "foreign.ckpt"
+    foreign.write_text("epoch,train_loss,val_loss\n1,0.5,0.6\n")
+    for path, reason in ((cut, "truncated"), (foreign, "not a tensor container")):
+        code = main([command[0], "--graphs", str(graphs), "--checkpoint", str(path),
+                     *command[1:]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and reason in err
+
+
 # ---------------------------------------------------------------------------
 # determinism across full runs
 

@@ -260,7 +260,7 @@ def test_isolated_cell_reduces_to_self_projection():
 
 
 def test_singleton_class_softmax_weight_is_one(rng):
-    u = tc.constant(rng.normal(size=3))
+    u = tc.constant(rng.normal(size=(3, 1)))
     v = tc.constant(rng.normal(size=3))
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 2] = True
@@ -272,7 +272,7 @@ def test_singleton_class_softmax_weight_is_one(rng):
 def test_class_weights_rows_sum_to_one(rng):
     for _ in range(10):
         n = int(rng.integers(2, 7))
-        u = tc.constant(rng.normal(size=n))
+        u = tc.constant(rng.normal(size=(n, 1)))
         v = tc.constant(rng.normal(size=n))
         mask = rng.uniform(size=(n, n)) < 0.5
         weights = _class_weights(u, v, rng.uniform(size=(n, n)), mask, 0.2)

@@ -79,6 +79,27 @@ def test_trips_fall_inside_their_cells(tmp_path):
         assert assign_cell(grid, r.dropoff_lat, r.dropoff_lon) is not None
 
 
+def test_built_store_matches_generated_counts(tmp_path, capsys):
+    # at this config and seed, points written with %.6f once rounded 7 trips
+    # into a neighbouring cell and 3 out of the bbox
+    import dataclasses
+    import json
+    from odflow.cli import main
+    from odflow.flowgraph import load_store
+
+    cfg = dataclasses.replace(_light_preset("commuter", rows=3, cols=3, days=2, seed=1),
+                              cell_km=0.2)
+    trips, graphs = tmp_path / "trips.csv", tmp_path / "graphs.jsonl"
+    generate(cfg, trips)
+    assert main(["build-graphs", "--trips", str(trips), "--out", str(graphs)]) == 0
+    assert json.loads(capsys.readouterr().out)["out_of_bbox"] == 0
+    store = load_store(graphs)
+    counts, _ = generate_counts(cfg)
+    assert store.days * store.slots_per_day == len(counts)
+    for a, expected in enumerate(counts):
+        assert np.array_equal(store.graph_at_abs(a).dense(), expected), f"slot {a}"
+
+
 def _per_cell_series(counts, n):
     out = np.array([m.sum(axis=1) for m in counts])   # (slots, n)
     inn = np.array([m.sum(axis=0) for m in counts])

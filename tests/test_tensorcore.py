@@ -35,9 +35,15 @@ def test_softmax_rows_sum_to_one_and_open_interval(rng):
 
 def test_masked_softmax_empty_row_is_zero():
     mask = np.array([[True, True, False], [False, False, False]])
-    out = tc.masked_softmax_rows(tc.constant(np.ones((2, 3))), mask)
+    out = tc.softmax_rows(tc.constant(np.ones((2, 3))), mask)
     assert np.allclose(out.data[0], [0.5, 0.5, 0.0])
     assert np.all(out.data[1] == 0.0)
+
+
+def test_masked_softmax_ignores_large_masked_entries():
+    # the masked-out 1000 must not reach exp (an overflow warning fails the suite)
+    out = tc.softmax_rows(tc.constant([[1000.0, 0.0]]), np.array([[False, True]]))
+    assert np.array_equal(out.data, [[0.0, 1.0]])
 
 
 def test_sigmoid_exact_at_infinities():
@@ -58,7 +64,7 @@ def test_backward_square():
 def test_backward_constant_loss_zero_grads():
     x = tc.parameter([1.0, -2.0])
     with tc.Tape() as tape:
-        loss = tc.sum_all(tc.mul(x, tc.constant([0.0, 0.0])))
+        loss = tc.sum(tc.mul(x, 0.0))
     tape.backward(loss)
     assert np.all(x.grad == 0.0)
 
@@ -75,12 +81,12 @@ def test_backward_twice_errors():
 def test_backward_requires_scalar_on_tape():
     x = tc.parameter([1.0, 2.0])
     with tc.Tape() as tape:
-        out = tc.scale(x, 2.0)
+        out = tc.mul(x, 2.0)
     with pytest.raises(tc.ShapeError):
         tape.backward(out)
     y = tc.mul(tc.parameter(1.0), tc.parameter(1.0))   # built outside the tape
     with tc.Tape() as tape2:
-        _ = tc.scale(tc.parameter(1.0), 1.0)
+        _ = tc.mul(tc.parameter(1.0), 1.0)
         with pytest.raises(RuntimeError):
             tape2.backward(y)
 
@@ -88,6 +94,9 @@ def test_backward_requires_scalar_on_tape():
 def test_shape_mismatch_names_both_shapes():
     with pytest.raises(tc.ShapeError, match=r"\(2,\).*\(3,\)"):
         tc.add(tc.constant([1.0, 2.0]), tc.constant([1.0, 2.0, 3.0]))
+    # a length-5 vector broadcasts along the last axis, not down the 5 rows
+    with pytest.raises(tc.ShapeError, match=r"mul.*\(5, 4\).*\(5,\)"):
+        tc.mul(tc.constant(np.ones((5, 4))), tc.constant(np.ones(5)))
 
 
 def test_matmul_chain_matches_finite_differences(rng):
@@ -107,8 +116,8 @@ def test_forward_is_bitwise_deterministic(rng):
     v = rng.normal(size=6)
 
     def run():
-        out = tc.softmax_rows(tc.add_colvec(tc.matmul(tc.constant(m), tc.constant(m)), tc.constant(v)))
-        return tc.sum_all(out).data.tobytes()
+        out = tc.softmax_rows(tc.add(tc.matmul(tc.constant(m), tc.constant(m)), v[:, None]))
+        return tc.sum(out).data.tobytes()
 
     assert run() == run()
 
@@ -128,13 +137,22 @@ def _primitive_cases(rng):
     sq = rng.normal(size=(4, 4))
     v4 = rng.normal(size=4)
     v5 = rng.normal(size=5)
+    c5 = rng.normal(size=(5, 1))
+    t3 = rng.normal(size=(5, 3, 4))
+    c3 = rng.normal(size=(5, 3, 1))
     mask = rng.uniform(size=(5, 4)) < 0.5
     mask[2] = False   # one empty row
     return {
         "add": ([m1, m2], lambda a, b: tc.add(a, b)),
+        "add_row": ([m1, v4], lambda a, b: tc.add(a, b)),
+        "add_col": ([m1, c5], lambda a, b: tc.add(a, b)),
+        "add_outer": ([c5, v4], lambda a, b: tc.add(a, b)),
         "mul": ([m1, m2], lambda a, b: tc.mul(a, b)),
-        "scale": ([m1], lambda a: tc.scale(a, -1.7)),
-        "scale_t": ([m1, np.array(0.8)], lambda a, s: tc.scale_t(a, s)),
+        "mul_scalar": ([m1, np.array(0.8)], lambda a, s: tc.mul(a, s)),
+        "mul_float": ([m1], lambda a: tc.mul(a, -1.7)),
+        "mul_row": ([m1, v4], lambda a, b: tc.mul(a, b)),
+        "mul_col": ([m1, c5], lambda a, b: tc.mul(a, b)),
+        "mul_3d": ([t3, c3], lambda a, b: tc.mul(a, b)),
         "matmul": ([m1, sq.T[:4, :4]], lambda a, b: tc.matmul(a, b)),
         "matmul_vec": ([m1, v4], lambda a, b: tc.matmul(a, b)),
         "vec_matmul": ([v5, m1], lambda a, b: tc.matmul(a, b)),
@@ -143,19 +161,14 @@ def _primitive_cases(rng):
         "concat0": ([m1, m2], lambda a, b: tc.concat([a, b], axis=0)),
         "concat1": ([m1, m2], lambda a, b: tc.concat([a, b], axis=1)),
         "rows": ([m1], lambda a: tc.rows(a, [0, 2, 2, 4])),
-        "cols": ([m1], lambda a: tc.cols(a, 1)),
-        "sum_rows": ([m1], lambda a: tc.sum_rows(a)),
-        "sum_all": ([m1], lambda a: tc.sum_all(a)),
-        "add_rowvec": ([m1, v4], lambda a, b: tc.add_rowvec(a, b)),
-        "add_colvec": ([m1, v5], lambda a, b: tc.add_colvec(a, b)),
-        "scale_rows": ([m1, v5], lambda a, b: tc.scale_rows(a, b)),
-        "scale_cols": ([m1, v4], lambda a, b: tc.scale_cols(a, b)),
-        "outer_sum": ([v5, v4], lambda a, b: tc.outer_sum(a, b)),
+        "sum": ([m1], lambda a: tc.sum(a)),
+        "sum_axis1": ([m1], lambda a: tc.sum(a, axis=1)),
+        "sum_keepdims": ([m1], lambda a: tc.sum(a, axis=0, keepdims=True)),
         "leaky_relu": ([_away_from_kinks(m1)], lambda a: tc.leaky_relu(a, 0.2)),
         "sigmoid": ([m1], lambda a: tc.sigmoid(a)),
         "softplus": ([m1], lambda a: tc.softplus(a)),
         "softmax_rows": ([m1], lambda a: tc.softmax_rows(a)),
-        "masked_softmax_rows": ([m1], lambda a: tc.masked_softmax_rows(a, mask)),
+        "softmax_rows_masked": ([m1], lambda a: tc.softmax_rows(a, mask)),
         "smooth_l1": ([m1, m2], lambda a, b: tc.smooth_l1(a, b)),
     }
 
