@@ -20,7 +20,7 @@ from . import metrics as metrics_mod
 from . import synthgen
 from .flowgraph import build_slot_graphs, load_store, save_store
 from .ingest import DEFAULT_COLUMNS, SchemaError, parse_trips
-from .model import ModelConfig, ODFlowModel, load_checkpoint
+from .model import open_model
 from .temporal import DEFAULT_CHANNELS, NONLINEAR_CHANNEL
 from .trainer import TrainConfig, save_result, train, write_loss_log
 
@@ -247,9 +247,12 @@ def build_store_from_args(args):
             total_rejects[reason] = total_rejects.get(reason, 0) + count
     if not records:
         raise CliError("no valid trips to bucket")
-    start = date.fromisoformat(args.start_date) if args.start_date else None
-    store, excluded = build_slot_graphs(records, grid, args.slot_minutes,
-                                        start_date=start, weight_mode=args.weight)
+    try:
+        start = date.fromisoformat(args.start_date) if args.start_date else None
+        store, excluded = build_slot_graphs(records, grid, args.slot_minutes,
+                                            start_date=start, weight_mode=args.weight)
+    except ValueError as exc:
+        raise CliError(str(exc))
     return store, excluded, total_rejects
 
 
@@ -344,6 +347,8 @@ def _load_store(path):
         return load_store(path)
     except FileNotFoundError:
         raise CliError(f"graph store not found: {path}")
+    except ValueError as exc:
+        raise CliError(f"bad graph store: {exc}")
 
 
 def cmd_train(args):
@@ -434,16 +439,11 @@ def _add_predict(sub):
 def cmd_predict(args):
     store = _load_store(args.graphs)
     try:
-        params, ha, meta = load_checkpoint(args.checkpoint)
+        model, meta = open_model(args.checkpoint, store)
     except FileNotFoundError:
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     except ValueError as exc:
         raise CliError(str(exc))
-    if meta["grid"] != store.grid.to_dict():
-        raise CliError("checkpoint grid does not match the graph store grid")
-    model_cfg = ModelConfig.from_dict(meta["model_config"])
-    model = ODFlowModel(store, params, model_cfg, meta["degree_norms"],
-                        ha if model_cfg.use_ha else None)
     if not (1 <= args.slot <= store.slots_per_day):
         raise CliError(f"slot must lie in [1, {store.slots_per_day}]")
     key = store.key_of_abs(args.day * store.slots_per_day + (args.slot - 1))
@@ -504,16 +504,7 @@ def _flat_metrics(reports):
 
 
 def _sweep_leg(store, cfg: TrainConfig):
-    result = train(store, cfg)
-    import tempfile
-    with tempfile.NamedTemporaryFile(suffix=".ckpt", delete=False) as tmp:
-        path = tmp.name
-    try:
-        save_result(path, result)
-        reports = metrics_mod.evaluate_checkpoint(path, store, split="test")
-    finally:
-        os.unlink(path)
-    return reports
+    return metrics_mod.evaluate_checkpoint(train(store, cfg), store, split="test")
 
 
 def _add_sweep_grid(sub):

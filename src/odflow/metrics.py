@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flowgraph import demand_vector
-from .model import ModelConfig, ODFlowModel, load_checkpoint
+from .model import ODFlowModel, open_model
 
 THRESHOLDS = (0, 3, 5)
 
@@ -59,27 +58,17 @@ def evaluate_model(model: ODFlowModel, target_keys, ks=THRESHOLDS, config_echo=N
     """
     if model.ha is None:
         raise ValueError("evaluation requires the checkpoint's historical-average tables")
-    store = model.store
-    demand_pred, demand_actual, demand_base = [], [], []
-    od_pred, od_actual, od_base = [], [], []
+    columns = [[] for _ in range(6)]   # demand pred, actual, base; od likewise
     for key in target_keys:
         delta_hat, od_hat = model.predict(key)
-        g = store.graph_at(key)
-        demand_pred.append(delta_hat)
-        demand_actual.append(demand_vector(g))
-        demand_base.append(model.ha.demand_of(key))
-        od_pred.append(od_hat.reshape(-1))
-        od_actual.append(g.dense().reshape(-1))
-        od_base.append(model.ha.od_of(key).reshape(-1))
-
-    def flat(parts):
-        return np.concatenate(parts) if parts else np.zeros(0)
+        od = model.store.od(key)
+        for column, part in zip(columns, (delta_hat, od.sum(axis=1), model.ha.demand_of(key),
+                                          od_hat, od, model.ha.od_of(key))):
+            column.append(part.reshape(-1))
+    flat = [np.concatenate(c) if c else np.zeros(0) for c in columns]
 
     reports = {}
-    for task, pred, actual, base in (
-            ("demand", demand_pred, demand_actual, demand_base),
-            ("od", od_pred, od_actual, od_base)):
-        pred, actual, base = flat(pred), flat(actual), flat(base)
+    for task, (pred, actual, base) in (("demand", flat[:3]), ("od", flat[3:])):
         report = {"task": task}
         report.update(metric_block(pred, actual, ks))
         report["baseline"] = metric_block(base, actual, ks)
@@ -90,29 +79,24 @@ def evaluate_model(model: ODFlowModel, target_keys, ks=THRESHOLDS, config_echo=N
 
 
 def eligible_targets(model: ODFlowModel, days):
-    keys = []
+    """The keys of the given days' slots that have the history the model needs."""
     s = model.store.slots_per_day
-    for day in days:
-        for slot in range(s):
-            key = model.store.key_of_abs(day * s + slot)
-            if model.eligible(key):
-                keys.append(key)
-    return keys
+    keys = (model.store.key_of_abs(day * s + slot) for day in days for slot in range(s))
+    return [key for key in keys if model.eligible(key)]
 
 
-def evaluate_checkpoint(checkpoint_path, store, split="test", ks=THRESHOLDS):
-    """Load a checkpoint, check grid compatibility, and score the split."""
-    params, ha, meta = load_checkpoint(checkpoint_path)
-    if meta["grid"] != store.grid.to_dict():
-        raise ValueError("checkpoint grid does not match the graph store grid: "
-                         f"{meta['grid']} vs {store.grid.to_dict()}")
-    if meta["slot_minutes"] != store.slot_minutes:
-        raise ValueError("checkpoint slot granularity does not match the store")
-    model_cfg = ModelConfig.from_dict(meta["model_config"])
-    model = ODFlowModel(store, params, model_cfg, meta["degree_norms"],
-                        ha if model_cfg.use_ha else None)
-    model.ha = ha   # baseline tables are required even when blending is off
-    days = meta["split"][split if split in ("train", "val", "test") else "test"]
+def evaluate_checkpoint(source, store, split="test", ks=THRESHOLDS):
+    """Score a split of a checkpoint path's or a TrainResult's model on a
+    store. Raises ValueError when the store lacks the split's days or when
+    none of their slots has the history the model needs."""
+    model, meta = open_model(source, store)
+    split = split if split in ("train", "val", "test") else "test"
+    days = meta["split"][split]
+    if days and max(days) >= store.days:
+        raise ValueError(f"the store holds {store.days} days; the checkpoint's {split} "
+                         f"split needs days {min(days)}-{max(days)}")
     targets = eligible_targets(model, days)
+    if not targets:
+        raise ValueError(f"no slot of the {split} split has the history the model needs")
     echo = {"split": split, "train_config": meta["train_config"]}
     return evaluate_model(model, targets, ks, config_echo=echo)

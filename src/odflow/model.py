@@ -10,6 +10,7 @@ heads.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,20 +157,18 @@ class ODFlowModel:
             plan = self.channel_plan(target_key)
         except ValueError:
             return False
-        return all(self.store.has_abs(self.store.abs_index(k))
-                   for _, keys in plan for k in keys)
+        slots = len(self.store.counts)
+        return all(0 <= self.store.abs_index(k) < slots for _, keys in plan for k in keys)
 
     def earliest_eligible(self):
-        for g in self.store.graphs:
-            if self.eligible(g.key):
-                return g.key
-        return None
+        keys = map(self.store.key_of_abs, range(len(self.store.counts)))
+        return next((key for key in keys if self.eligible(key)), None)
 
     def _slot_context(self, key) -> SlotContext:
         abs_idx = self.store.abs_index(key)
         ctx = self._ctx_cache.get(abs_idx)
         if ctx is None:
-            ctx = SlotContext.build(self.store.graph_at(key).dense(), self.grid_ctx)
+            ctx = SlotContext.build(self.store.od(key), self.grid_ctx)
             self._ctx_cache[abs_idx] = ctx
         return ctx
 
@@ -233,6 +232,26 @@ def save_checkpoint(path, params: ParamStore, meta, ha=None):
     if ha is not None:
         tensors.update(ha.to_tensors())
     tc.save_tensors(path, tensors, meta=meta)
+
+
+def open_model(source, store):
+    """A trained model on a store -> (ODFlowModel, meta). ``source`` is a
+    checkpoint path or an in-memory TrainResult. Raises ValueError when its
+    grid or slot length differs from the store's. The historical-average
+    tables are attached even when the model does not blend with them, since
+    evaluation scores them too."""
+    if isinstance(source, (str, os.PathLike)):
+        params, ha, meta = load_checkpoint(source)
+    else:
+        params, ha, meta = source.params, source.ha, source.meta
+    if meta["grid"] != store.grid.to_dict():
+        raise ValueError("checkpoint grid does not match the graph store grid: "
+                         f"{meta['grid']} vs {store.grid.to_dict()}")
+    if meta["slot_minutes"] != store.slot_minutes:
+        raise ValueError(f"checkpoint slots of {meta['slot_minutes']} minutes do not match "
+                         f"the store's {store.slot_minutes}")
+    model_cfg = ModelConfig.from_dict(meta["model_config"])
+    return ODFlowModel(store, params, model_cfg, meta["degree_norms"], ha), meta
 
 
 def load_checkpoint(path):

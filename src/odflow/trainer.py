@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensorcore as tc
-from .flowgraph import demand_vector
+from .metrics import eligible_targets
 from .model import ModelConfig, ODFlowModel, ParamStore, save_checkpoint
 from .spatial import EmbeddingConfig
 from .temporal import DEFAULT_CHANNELS
@@ -150,19 +150,9 @@ def make_optimizer(kind, params, lr):
 
 
 def degree_normalizers(store, days):
-    """(max in-degree, max out-degree) over the given days' slots."""
-    max_in = 0.0
-    max_out = 0.0
-    s = store.slots_per_day
-    for day in days:
-        for slot in range(s):
-            g = store.graph_at_abs(day * s + slot)
-            if not g.triplets:
-                continue
-            od = g.dense()
-            max_in = max(max_in, float(od.sum(axis=0).max()))
-            max_out = max(max_out, float(od.sum(axis=1).max()))
-    return max_in, max_out
+    """(max in-degree, max out-degree) over the given days' slots, as floats."""
+    counts = store.day_counts(days)                  # (d, S, n, n)
+    return float(counts.sum(axis=2).max(initial=0)), float(counts.sum(axis=3).max(initial=0))
 
 
 @dataclass
@@ -211,27 +201,17 @@ def train(store, cfg: TrainConfig, progress=None):
                                    store.grid.cols, store.slots_per_day, cfg.seed)
     model = ODFlowModel(store, params, model_cfg, norms, ha if cfg.use_ha else None)
 
-    def eligible_targets(days):
-        keys, skipped = [], 0
-        for day in days:
-            for slot in range(1, store.slots_per_day + 1):
-                key = store.key_of_abs(day * store.slots_per_day + (slot - 1))
-                if model.eligible(key):
-                    keys.append(key)
-                else:
-                    skipped += 1
-        return keys, skipped
-
-    train_targets, skipped = eligible_targets(train_days)
-    val_targets, _ = eligible_targets(val_days)
+    train_targets = eligible_targets(model, train_days)
+    val_targets = eligible_targets(model, val_days)
+    skipped = len(train_days) * store.slots_per_day - len(train_targets)
     if not train_targets:
         raise ValueError("no training target has the required history "
                          f"(7 days and {cfg.h} hours)")
 
     actuals = {}
     for key in train_targets + val_targets:
-        g = store.graph_at(key)
-        actuals[(key.day_index, key.slot)] = (demand_vector(g), g.dense())
+        od = store.od(key)
+        actuals[(key.day_index, key.slot)] = (od.sum(axis=1), od)
 
     optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate)
     shuffle_rng = np.random.Generator(np.random.PCG64([cfg.seed, 1]))

@@ -16,68 +16,52 @@ from . import tensorcore as tc
 
 
 class HistoricalAverage:
-    """Per-key training means: demand by (cell, slot, day-of-week), OD by
-    (cell pair, slot). Keys never seen in training default to 0."""
+    """Training means: demand by (cell, slot, day of week) in an (n, S, 7)
+    table, OD by (slot, origin, dest) in an (S, n, n) table. Keys never seen
+    in training are 0."""
 
-    def __init__(self, n, slots_per_day, demand_table, od_means):
+    def __init__(self, n, slots_per_day, demand_table, od_table):
         self.n = n
         self.slots_per_day = slots_per_day
         self.demand_table = demand_table      # (n, S, 7)
-        self.od_means = od_means              # {slot: {(i, j): mean}}
+        self.od_table = od_table              # (S, n, n)
 
     @classmethod
     def build(cls, store, train_days):
         """Averages over the training days only; test days must never leak in."""
         n = store.n
         s_per_day = store.slots_per_day
-        demand_sum = np.zeros((n, s_per_day, 7))
-        dow_days = np.zeros(7)
-        od_sums = {}
         train_days = sorted(set(train_days))
-        for day in train_days:
-            dow = store.key_of_abs(day * s_per_day).day_of_week
-            dow_days[dow] += 1
-            for slot in range(1, s_per_day + 1):
-                g = store.graph_at_abs(day * s_per_day + (slot - 1))
-                per_slot = od_sums.setdefault(slot, {})
-                for i, j, w in g.triplets:
-                    demand_sum[i - 1, slot - 1, g.key.day_of_week] += w
-                    per_slot[(i, j)] = per_slot.get((i, j), 0.0) + w
-        demand_table = np.zeros_like(demand_sum)
+        counts = store.day_counts(train_days)                    # (d, S, n, n)
+        demand = counts.sum(axis=3)                              # (d, S, n)
+        dows = (store.start_date.weekday() + np.array(train_days, dtype=np.int64)) % 7
+        demand_table = np.zeros((n, s_per_day, 7))
         for w in range(7):
-            if dow_days[w] > 0:
-                demand_table[:, :, w] = demand_sum[:, :, w] / dow_days[w]
-        day_count = len(train_days)
-        od_means = {
-            slot: {pair: total / day_count for pair, total in per_slot.items()}
-            for slot, per_slot in od_sums.items() if per_slot
-        } if day_count else {}
-        return cls(n, s_per_day, demand_table, od_means)
+            on_w = dows == w
+            demand_table[:, :, w] = demand[on_w].sum(axis=0).T / max(on_w.sum(), 1)
+        od_table = counts.sum(axis=0) / max(len(train_days), 1)
+        return cls(n, s_per_day, demand_table, od_table)
 
     def demand_of(self, key) -> np.ndarray:
         return self.demand_table[:, key.slot - 1, key.day_of_week].copy()
 
     def od_of(self, key) -> np.ndarray:
-        od = np.zeros((self.n, self.n))
-        for (i, j), mean in self.od_means.get(key.slot, {}).items():
-            od[i - 1, j - 1] = mean
-        return od
+        return self.od_table[key.slot - 1].copy()
 
-    # flat-tensor forms for checkpointing
+    # flat-tensor forms for checkpointing: the OD table's nonzero entries as
+    # (k, 4) rows [slot, i, j, mean], 1-based, in (slot, i, j) order
     def to_tensors(self):
-        triplets = []
-        for slot in sorted(self.od_means):
-            for (i, j) in sorted(self.od_means[slot]):
-                triplets.append([slot, i, j, self.od_means[slot][(i, j)]])
-        od = np.array(triplets, dtype=np.float64) if triplets else np.zeros((0, 4))
+        s, i, j = np.nonzero(self.od_table)
+        od = np.stack([s + 1, i + 1, j + 1, self.od_table[s, i, j]], axis=1).astype(np.float64)
         return {"ha.demand": self.demand_table, "ha.od": od}
 
     @classmethod
     def from_tensors(cls, tensors, n, slots_per_day):
-        od_means = {}
-        for slot, i, j, mean in tensors["ha.od"]:
-            od_means.setdefault(int(slot), {})[(int(i), int(j))] = float(mean)
-        return cls(n, slots_per_day, tensors["ha.demand"], od_means)
+        rows = tensors["ha.od"]
+        s, i, j = (rows[:, :3].astype(np.int64) - 1).T
+        od_table = np.zeros((slots_per_day, n, n))
+        od_table[s, i, j] = rows[:, 3]
+        return cls(n, slots_per_day, tensors["ha.demand"], od_table)
 
 
 def _gate_blend(raw, ha_values, gate_logit):

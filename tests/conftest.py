@@ -7,9 +7,8 @@ from datetime import date
 import numpy as np
 import pytest
 
-from odflow.flowgraph import GraphStore, SlotGraph
+from odflow.flowgraph import GraphStore
 from odflow.geogrid import bbox_for_grid, build_grid
-from odflow.ingest import SlotKey
 from odflow.model import ModelConfig, ParamStore
 from odflow.spatial import EmbeddingConfig
 from odflow.synthgen import SynthConfig, generate_counts
@@ -24,17 +23,8 @@ def make_grid(rows, cols, cell_km=2.5):
 
 def store_from_counts(grid, counts, slot_minutes=60, start=date(2024, 1, 1)):
     """GraphStore from a list of dense per-slot count matrices."""
-    per_day = 1440 // slot_minutes
-    graphs = []
-    dow0 = start.weekday()
-    for abs_idx, matrix in enumerate(counts):
-        day, offset = divmod(abs_idx, per_day)
-        key = SlotKey(day, offset + 1, (dow0 + day) % 7)
-        triplets = [(i + 1, j + 1, int(matrix[i, j]))
-                    for i in range(grid.n) for j in range(grid.n)
-                    if matrix[i, j] > 0]
-        graphs.append(SlotGraph(key, grid.n, triplets))
-    return GraphStore(grid, slot_minutes, start, graphs)
+    counts = np.asarray(counts).reshape(-1, grid.n, grid.n)
+    return GraphStore(grid, slot_minutes, start, counts.astype(np.int32))
 
 
 def synthetic_store(rows=3, cols=3, days=9, seed=11, base_rate=0.15,

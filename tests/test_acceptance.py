@@ -18,8 +18,8 @@ import pytest
 from conftest import make_grid, store_from_counts, synthetic_store
 from odflow import tensorcore as tc
 from odflow.cli import main as cli_main
-from odflow.flowgraph import (backward_neighbors, build_slot_graphs, degrees,
-                              demand_vector, forward_neighbors)
+from odflow.flowgraph import (GraphStore, SlotGraph, backward_neighbors,
+                              build_slot_graphs, degrees, forward_neighbors)
 from odflow.geogrid import (EARTH_RADIUS_KM, build_distance_graph,
                             geographical_neighbors, haversine_km)
 from odflow.ingest import SlotKey, TripRecord
@@ -94,8 +94,8 @@ def test_c01_gradient_correctness(rng):
         model = ODFlowModel(store, params, cfg, norms, ha)
         key = store.key_of_abs(8 * 24 + 11)
         assert model.eligible(key)
-        g = store.graph_at(key)
-        actual_d, actual_od = demand_vector(g), g.dense()
+        actual_od = store.od(key)
+        actual_d = actual_od.sum(axis=1)
 
         def model_loss():
             delta_hat, od_hat = model.forward(key)
@@ -174,7 +174,6 @@ def test_c03_marginal_consistency(rng):
 def test_c04_oracle_equivalence(rng):
     with criterion(4, "brute-force oracles agree on 100 random instances each"):
         # semantic neighbors, degrees, demand
-        from odflow.flowgraph import SlotGraph
         for _ in range(100):
             n = int(rng.integers(2, 9))
             od = (rng.uniform(size=(n, n)) < 0.35) * rng.integers(1, 9, size=(n, n))
@@ -218,8 +217,11 @@ def test_c04_oracle_equivalence(rng):
                 expected[k] = expected.get(k, 0) + c
             store, _ = build_slot_graphs(trips, grid, 60,
                                          start_date=trips[0].pickup_time.date().replace(day=1))
-            got = {(g.key.day_index, g.key.slot, i, j): w
-                   for g in store.graphs for i, j, w in g.triplets}
+            got = {}
+            for a, i, j in zip(*np.nonzero(store.counts)):
+                key = store.key_of_abs(int(a))
+                got[(key.day_index, key.slot, int(i) + 1, int(j) + 1)] = \
+                    int(store.counts[a, i, j])
             assert got == expected
 
         # haversine against the well-conditioned atan2 sphere formula
@@ -257,17 +259,30 @@ def test_c04_oracle_equivalence(rng):
 
 def test_c05_permutation_properties(rng):
     with criterion(5, "storage order is irrelevant; relabeling permutes outputs"):
-        # (a) shuffling a slot's triplet storage order: outputs within 1e-10
-        store = synthetic_store(rows=3, cols=3, days=9, seed=51)
+        # (a) shuffling each slot's triplets and the records' order: outputs
+        # within 1e-10
+        counted = synthetic_store(rows=3, cols=3, days=9, seed=51)
+        records = []
+        for a, od in enumerate(counted.counts):
+            i, j = np.nonzero(od)
+            records.append(SlotGraph(counted.key_of_abs(a), counted.n,
+                                     [(int(x) + 1, int(y) + 1, int(od[x, y]))
+                                      for x, y in zip(i, j)]))
+        shuffled = [SlotGraph(g.key, g.n, list(g.triplets)) for g in records]
+        for g in shuffled:
+            rng.shuffle(g.triplets)
+        rng.shuffle(shuffled)
+        grid, start = counted.grid, counted.start_date
+        store = GraphStore(grid, 60, start, records)
         norms = degree_normalizers(store, range(store.days))
         ha = HistoricalAverage.build(store, range(7))
         cfg, params = _random_params(store.n, 3, 3, store.slots_per_day, seed=5)
         model = ODFlowModel(store, params, cfg, norms, ha)
         key = store.key_of_abs(8 * 24 + 10)
         base_d, base_od = model.predict(key)
-        for g in store.graphs:
-            rng.shuffle(g.triplets)
-        model2 = ODFlowModel(store, params, cfg, norms, ha)
+        store2 = GraphStore(grid, 60, start, shuffled)
+        model2 = ODFlowModel(store2, params, cfg, degree_normalizers(store2, range(store2.days)),
+                             HistoricalAverage.build(store2, range(7)))
         shuf_d, shuf_od = model2.predict(key)
         assert np.max(np.abs(base_d - shuf_d)) < 1e-10
         assert np.max(np.abs(base_od - shuf_od)) < 1e-10

@@ -1,0 +1,44 @@
+"""The names the benchmark in odbench/ uses must keep working.
+
+Both checks run in subprocesses, from the repository root, so that odbench
+imports the program as it does when it runs.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(argv, timeout):
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_benchmark_selftest_rejects_every_wrong_input():
+    proc = _run(["odbench/selftest.py"], timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "selftest: 23 of 23 wrong inputs rejected" in proc.stdout
+
+
+INSTALL = """
+import sys
+sys.path[:0] = ["odbench", "src"]
+import tracing
+from odflow import model, trainer, transfer
+
+owners = (transfer.HistoricalAverage, trainer, model.ODFlowModel)
+before = [dict(vars(owner)) for owner in owners]
+undo = tracing.install(tracing.Tracer(), [])
+assert vars(transfer.HistoricalAverage)["od_of"] is not before[0]["od_of"]
+undo()
+assert [dict(vars(owner)) for owner in owners] == before
+print("installed and undone")
+"""
+
+
+def test_tracing_finds_every_name_it_wraps():
+    proc = _run(["-c", INSTALL], timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "installed and undone" in proc.stdout

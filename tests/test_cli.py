@@ -95,7 +95,7 @@ def test_predict_emits_demand_and_sparse_od(pipeline, capsys):
 
 
 def test_predict_against_stored_actuals_gives_finite_mape(pipeline, capsys):
-    from odflow.flowgraph import demand_vector, load_store
+    from odflow.flowgraph import load_store
     from odflow.ingest import SlotKey
     from odflow.metrics import mape
 
@@ -104,7 +104,7 @@ def test_predict_against_stored_actuals_gives_finite_mape(pipeline, capsys):
                  "--day", "9", "--slot", "12", "--no-timestamp"]) == 0
     payload = json.loads(capsys.readouterr().out)
     store = load_store(graphs)
-    actual = demand_vector(store.graph_at(SlotKey(9, 12, 0)))
+    actual = store.od(SlotKey(9, 12, 0)).sum(axis=1)
     value = mape(payload["demand"], actual, 0)
     assert value is not None and np.isfinite(value)
 
@@ -151,14 +151,136 @@ def test_unknown_flag_exits_one(capsys):
     capsys.readouterr()
 
 
-def test_runtime_failure_exits_two(tmp_path, capsys):
-    graphs = tmp_path / "corrupt.jsonl"
-    graphs.write_text("not json\n")
-    (tmp_path / "corrupt.jsonl.meta.json").write_text("also not json\n")
-    code = main(["train", "--graphs", str(graphs),
-                 "--checkpoint", str(tmp_path / "c.ckpt")])
+def test_runtime_failure_exits_two(pipeline, tmp_path, capsys):
+    # a learning rate this large sends the weights, then the loss, to inf
+    _, _, graphs, _ = pipeline
+    code = main(["train", "--graphs", str(graphs), "--checkpoint", str(tmp_path / "c.ckpt"),
+                 "--quiet", *TINY, "--lr", "1e300"])
     assert code == 2
-    capsys.readouterr()
+    assert "runtime failure" in capsys.readouterr().err
+
+
+def _set_od(od):
+    def mutate(lines):
+        rec = json.loads(lines[30])
+        rec["od"] = od
+        lines[30] = json.dumps(rec, separators=(",", ":")) + "\n"
+        return lines
+    return mutate
+
+
+def _set_dow(lines):
+    rec = json.loads(lines[30])
+    rec["dow"] = (rec["dow"] + 1) % 7
+    lines[30] = json.dumps(rec, separators=(",", ":")) + "\n"
+    return lines
+
+
+# (mutation of the 288 store lines, the line the error names, a message fragment)
+CORRUPT_STORES = {
+    "invalid-json": (lambda ls: ls[:30] + ["{not json\n"] + ls[31:], 31, "invalid JSON"),
+    "duplicate-slot": (lambda ls: ls[:31] + ls[30:], 32,
+                       "found day 1 slot 7 dow 1 where day 1 slot 8 dow 1 belongs"),
+    "missing-slot": (lambda ls: ls[:30] + ls[31:], 31,
+                     "found day 1 slot 8 dow 1 where day 1 slot 7 dow 1 belongs"),
+    "partial-last-day": (lambda ls: ls[:-1], 287,
+                         "ends before day 11 slot 24 of the meta's 12 days"),
+    "extra-record": (lambda ls: ls + ls[-1:], 289, "a record beyond the meta's 12 days"),
+    "wrong-dow": (_set_dow, 31, "found day 1 slot 7 dow 2 where day 1 slot 7 dow 1 belongs"),
+    "cell-zero": (_set_od([[0, 1, 1]]), 31, "cell 0 outside [1, 9]"),
+    "cell-n-plus-one": (_set_od([[1, 10, 1]]), 31, "cell 10 outside [1, 9]"),
+    "negative-weight": (_set_od([[1, 2, -1]]), 31, "weight -1 is negative"),
+    "fractional-weight": (_set_od([[1, 2, 1.5]]), 31, "non-negative integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_STORES))
+def test_corrupt_store_exits_one(pipeline, tmp_path, capsys, case):
+    _, _, graphs, ckpt = pipeline
+    mutate, line, fragment = CORRUPT_STORES[case]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(mutate(graphs.read_text().splitlines(keepends=True))))
+    (tmp_path / "bad.jsonl.meta.json").write_bytes(
+        (graphs.parent / (graphs.name + ".meta.json")).read_bytes())
+    code = main(["evaluate", "--graphs", str(bad), "--checkpoint", str(ckpt),
+                 "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"{bad}, line {line}:" in err and fragment in err, err
+
+
+def test_start_date_after_a_trip_exits_one(pipeline, tmp_path, capsys):
+    _, trips, _, _ = pipeline
+    code = main(["build-graphs", "--trips", str(trips), "--out", str(tmp_path / "g.jsonl"),
+                 "--start-date", "2024-01-02"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "timestamp 2024-01-01 00:10:00 precedes dataset start 2024-01-02" in err
+
+
+def _store_variant(pipeline, tmp_path, *flags):
+    _, trips, _, _ = pipeline
+    out = tmp_path / "variant.jsonl"
+    assert main(["build-graphs", "--trips", str(trips), "--out", str(out), *flags]) == 0
+    return out
+
+
+def _first_days(graphs, tmp_path, days):
+    out = tmp_path / f"first{days}.jsonl"
+    out.write_text("".join(graphs.read_text().splitlines(keepends=True)[:days * 24]))
+    meta = json.loads((graphs.parent / (graphs.name + ".meta.json")).read_text())
+    (tmp_path / (out.name + ".meta.json")).write_text(json.dumps({**meta, "days": days}))
+    return out
+
+
+PREDICT = ["predict", "--day", "11", "--slot", "8", "--no-timestamp"]
+EVALUATE = ["evaluate", "--no-timestamp"]
+
+
+@pytest.mark.parametrize("command", [EVALUATE, PREDICT], ids=["evaluate", "predict"])
+def test_checkpoint_on_other_grid_exits_one(pipeline, tmp_path, capsys, command):
+    _, _, _, ckpt = pipeline
+    other = _store_variant(pipeline, tmp_path, "--cell-km", "5.0")
+    code = main([command[0], "--graphs", str(other), "--checkpoint", str(ckpt), *command[1:]])
+    assert code == 1
+    assert "grid does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [EVALUATE, PREDICT], ids=["evaluate", "predict"])
+def test_checkpoint_on_other_slot_minutes_exits_one(pipeline, tmp_path, capsys, command):
+    _, _, _, ckpt = pipeline
+    other = _store_variant(pipeline, tmp_path, "--slot-minutes", "30")
+    code = main([command[0], "--graphs", str(other), "--checkpoint", str(ckpt), *command[1:]])
+    assert code == 1
+    assert "slots of 60 minutes do not match the store's 30" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("days", [9, 5])
+def test_evaluate_on_store_without_test_days_exits_one(pipeline, tmp_path, capsys, days):
+    _, _, graphs, ckpt = pipeline
+    short = _first_days(graphs, tmp_path, days)
+    code = main(["evaluate", "--graphs", str(short), "--checkpoint", str(ckpt),
+                 "--no-timestamp"])
+    assert code == 1
+    assert f"the store holds {days} days; the checkpoint's test split needs days 9-11" \
+        in capsys.readouterr().err
+
+
+def test_evaluate_with_no_targets_exits_one(pipeline, capsys):
+    # 12 days at the default fractions leave the validation split empty
+    _, _, graphs, ckpt = pipeline
+    code = main(["evaluate", "--graphs", str(graphs), "--checkpoint", str(ckpt),
+                 "--split", "val", "--no-timestamp"])
+    assert code == 1
+    assert "no slot of the val split" in capsys.readouterr().err
+
+
+def test_predict_after_the_last_day_needs_only_history(pipeline, tmp_path, capsys):
+    _, _, graphs, ckpt = pipeline
+    short = _first_days(graphs, tmp_path, 9)
+    assert main(["predict", "--graphs", str(short), "--checkpoint", str(ckpt),
+                 "--day", "9", "--slot", "1", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == {"day": 9, "slot": 1, "dow": 2}
 
 
 def test_train_rejects_unknown_config_fields(pipeline, tmp_path, capsys):

@@ -1,13 +1,18 @@
 """OD aggregation, semantic neighbors, degrees, and store persistence."""
 
+import os
+import tempfile
 from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_grid
-from odflow.flowgraph import (SlotGraph, backward_neighbors, build_slot_graphs,
-                              degrees, demand_vector, forward_neighbors,
+from odflow.flowgraph import (GraphStore, SlotGraph, backward_neighbors,
+                              build_slot_graphs, degrees, forward_neighbors,
                               load_store, save_store)
 from odflow.ingest import SlotKey, TripRecord
 
@@ -26,9 +31,8 @@ def test_slots_without_trips_are_present_and_zero():
     trips = [_trip(datetime(2024, 1, 1, 0, 10), grid.center(1), grid.center(2))]
     store, excluded = build_slot_graphs(trips, grid, 60)
     assert excluded == 0
-    assert len(store.graphs) == 24
-    assert store.graph_at(SlotKey(0, 5, 0)).triplets == []
-    assert np.all(store.graph_at(SlotKey(0, 5, 0)).dense() == 0.0)
+    assert store.counts.shape == (24, 4, 4)
+    assert np.all(store.od(SlotKey(0, 5, 0)) == 0.0)
 
 
 def test_three_trips_single_bucket_trip_weighted():
@@ -36,8 +40,8 @@ def test_three_trips_single_bucket_trip_weighted():
     when = datetime(2024, 1, 1, 7, 30)
     trips = [_trip(when, grid.center(2), grid.center(5), count=9)] * 3
     store, _ = build_slot_graphs(trips, grid, 60, weight_mode="trips")
-    g = store.graph_at(SlotKey(0, 8, 0))
-    assert g.triplets == [(2, 5, 3)]
+    od = store.od(SlotKey(0, 8, 0))
+    assert od[1, 4] == 3 and od.sum() == 3
 
 
 def test_passenger_weighting_uses_counts():
@@ -46,7 +50,8 @@ def test_passenger_weighting_uses_counts():
     trips = [_trip(when, grid.center(2), grid.center(5), count=2),
              _trip(when, grid.center(2), grid.center(5), count=3)]
     store, _ = build_slot_graphs(trips, grid, 60, weight_mode="passengers")
-    assert store.graph_at(SlotKey(0, 8, 0)).triplets == [(2, 5, 5)]
+    od = store.od(SlotKey(0, 8, 0))
+    assert od[1, 4] == 5 and od.sum() == 5
 
 
 def test_out_of_bbox_trips_are_excluded_and_tallied():
@@ -56,7 +61,7 @@ def test_out_of_bbox_trips_are_excluded_and_tallied():
              _trip(datetime(2024, 1, 1, 1, 0), inside, (0.0, 0.0))]
     store, excluded = build_slot_graphs(trips, grid, 60)
     assert excluded == 1
-    assert store.graph_at(SlotKey(0, 2, 0)).total() == 1
+    assert store.od(SlotKey(0, 2, 0)).sum() == 1
 
 
 def test_random_trips_match_group_by_oracle(rng):
@@ -77,12 +82,11 @@ def test_random_trips_match_group_by_oracle(rng):
     store, excluded = build_slot_graphs(trips, grid, 60, start_date=start)
     assert excluded == 0
     rebuilt = {}
-    for g in store.graphs:
-        for i, j, w in g.triplets:
-            rebuilt[(g.key.day_index, g.key.slot, i, j)] = w
+    for a, i, j in zip(*np.nonzero(store.counts)):
+        key = store.key_of_abs(int(a))
+        rebuilt[(key.day_index, key.slot, int(i) + 1, int(j) + 1)] = int(store.counts[a, i, j])
     assert rebuilt == oracle
-    total = sum(g.total() for g in store.graphs)
-    assert total == sum(t.passenger_count for t in trips)
+    assert store.counts.sum() == sum(t.passenger_count for t in trips)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,8 @@ def test_out_degree_equals_demand_and_totals_balance(rng):
         od = rng.integers(0, 4, size=(n, n))
         g = _graph(n, [(i + 1, j + 1, int(od[i, j]))
                        for i in range(n) for j in range(n) if od[i, j] > 0])
-        delta = demand_vector(g)
+        store = GraphStore(make_grid(1, n), 1440, date(2024, 1, 1), [g])
+        delta = store.od(g.key).sum(axis=1)
         in_total = out_total = 0
         for k in range(1, n + 1):
             ind, outd = degrees(g, k)
@@ -187,7 +192,7 @@ def test_store_round_trip_is_bit_exact(tmp_path, rng):
     assert (tmp_path / "a.jsonl.meta.json").read_bytes() == \
         (tmp_path / "b.jsonl.meta.json").read_bytes()
     assert loaded.days == store.days
-    assert all(a.triplets == b.triplets for a, b in zip(loaded.graphs, store.graphs))
+    assert np.array_equal(loaded.counts, store.counts)
 
 
 def test_store_record_format(tmp_path):
@@ -198,3 +203,52 @@ def test_store_record_format(tmp_path):
     save_store(store, path)
     first_line = path.read_text().splitlines()[0]
     assert first_line == '{"day":0,"slot":1,"dow":0,"od":[[1,4,2]]}'
+
+
+# ---------------------------------------------------------------------------
+# round-trip properties over random count arrays
+
+
+@st.composite
+def count_stores(draw):
+    """A GraphStore over a small grid: one or two slots a day, random counts."""
+    grid = make_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    slot_minutes = draw(st.sampled_from([720, 1440]))
+    slots = draw(st.integers(0, 4)) * (1440 // slot_minutes)
+    counts = draw(hnp.arrays(np.int32, (slots, grid.n, grid.n),
+                             elements=st.integers(0, 2**31 - 1) | st.integers(0, 3)))
+    start = draw(st.dates(date(2000, 1, 1), date(2100, 1, 1)))
+    weight = draw(st.sampled_from(["passengers", "trips"]))
+    return GraphStore(grid, slot_minutes, start, counts, weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_stores())
+def test_store_save_load_round_trip(store):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.jsonl"), os.path.join(tmp, "b.jsonl")
+        save_store(store, first)
+        loaded = load_store(first)
+        save_store(loaded, second)
+        for suffix in ("", ".meta.json"):
+            with open(first + suffix, "rb") as a, open(second + suffix, "rb") as b:
+                assert a.read() == b.read()
+    assert loaded.counts.dtype == np.int32
+    assert np.array_equal(loaded.counts, store.counts)
+    assert (loaded.grid, loaded.slot_minutes, loaded.start_date, loaded.weight_mode) == \
+        (store.grid, store.slot_minutes, store.start_date, store.weight_mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_stores(), st.randoms(use_true_random=False))
+def test_store_from_shuffled_records_equals_store_from_array(store, rnd):
+    records = []
+    for a, od in enumerate(store.counts):
+        i, j = np.nonzero(od)
+        triplets = [(int(x) + 1, int(y) + 1, int(od[x, y])) for x, y in zip(i, j)]
+        rnd.shuffle(triplets)
+        records.append(SlotGraph(store.key_of_abs(a), store.n, triplets))
+    rnd.shuffle(records)
+    rebuilt = GraphStore(store.grid, store.slot_minutes, store.start_date, records)
+    assert rebuilt.counts.dtype == np.int32
+    assert np.array_equal(rebuilt.counts, store.counts)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_grid, store_from_counts, synthetic_store
 from odflow import tensorcore as tc
@@ -210,4 +213,20 @@ def test_ha_tensor_round_trip():
     tensors = ha.to_tensors()
     back = HistoricalAverage.from_tensors(tensors, ha.n, ha.slots_per_day)
     assert np.array_equal(back.demand_table, ha.demand_table)
-    assert back.od_means == ha.od_means
+    assert np.array_equal(back.od_table, ha.od_table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, 2]), st.integers(1, 9), st.data())
+def test_ha_tensor_round_trip_property(n, slots_per_day, days, data):
+    grid = make_grid(1, n)
+    counts = data.draw(hnp.arrays(np.int32, (days * slots_per_day, n, n),
+                                  elements=st.integers(0, 1000)))
+    train_days = data.draw(st.lists(st.integers(0, days - 1), max_size=days))
+    store = store_from_counts(grid, counts, slot_minutes=1440 // slots_per_day)
+    ha = HistoricalAverage.build(store, train_days)
+    tensors = ha.to_tensors()
+    assert tensors["ha.od"].shape == (np.count_nonzero(ha.od_table), 4)
+    back = HistoricalAverage.from_tensors(tensors, n, slots_per_day)
+    assert np.array_equal(back.demand_table, ha.demand_table)
+    assert np.array_equal(back.od_table, ha.od_table)
