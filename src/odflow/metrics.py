@@ -59,8 +59,7 @@ def evaluate_model(model: ODFlowModel, target_keys, ks=THRESHOLDS, config_echo=N
     if model.ha is None:
         raise ValueError("evaluation requires the checkpoint's historical-average tables")
     columns = [[] for _ in range(6)]   # demand pred, actual, base; od likewise
-    for key in target_keys:
-        delta_hat, od_hat = model.predict(key)
+    for key, (delta_hat, od_hat) in zip(target_keys, model.predict_many(target_keys)):
         od = model.store.od(key)
         for column, part in zip(columns, (delta_hat, od.sum(axis=1), model.ha.demand_of(key),
                                           od_hat, od, model.ha.od_of(key))):

@@ -1,11 +1,13 @@
 """The composed prediction model: parameters, forward pass, checkpoints.
 
-A forward pass for one target slot runs the spatial layer over every
+A forward pass for one target slot takes the spatial embedding of every
 historical slot the temporal channels need, lifts the target itself through
 the spatial layer with an all-zero OD matrix (its flow is what we are
 predicting, so only geography and calendar features enter), fuses the
 channels, and produces the demand vector and OD matrix through the transfer
-heads.
+heads. A taped forward runs the spatial layer once per distinct history
+slot; ``predict_many`` shares each slot's embedding across all its targets,
+since at fixed parameters it is a pure function of the slot.
 """
 
 from __future__ import annotations
@@ -46,6 +48,36 @@ class ModelConfig:
                    d["use_ha"], d.get("geo_threshold_km", 0.0))
 
 
+def param_shapes(cfg: ModelConfig, n, grid_rows, grid_cols, slots_per_day):
+    """{name: shape} of every learnable tensor of the model ``cfg`` describes."""
+    e = cfg.embed
+    zp, ed, heads, hidden = e.proj_dim, e.embed_dim, e.heads, e.ff_hidden
+    shapes = {
+        "embed.grid": (n, ed),
+        "embed.row": (grid_rows, ed),
+        "embed.col": (grid_cols, ed),
+        "embed.slot": (slots_per_day, ed),
+        "embed.dow": (7, ed),
+        "spatial.head_gates": (heads,),
+        "spatial.w_o": (zp, zp * heads),
+        "temporal.wq": (zp, zp), "temporal.wk": (zp, zp), "temporal.wv": (zp, zp),
+        "fusion.wq": (zp, zp), "fusion.wk": (zp, zp), "fusion.wv": (zp, zp),
+        "transfer.w_p": (zp, zp),
+        "transfer.a_p": (2 * zp,),
+        "transfer.ff_w1": (hidden, zp),
+        "transfer.ff_b1": (hidden,),
+        "transfer.ff_w2": (1, hidden),
+        "transfer.ff_b2": (1,),
+        "transfer.gate_demand": (),
+        "transfer.gate_od": (),
+    }
+    for h in range(heads):
+        shapes[f"spatial.h{h}.w_c"] = (zp, e.z)
+        shapes[f"spatial.h{h}.w_s"] = (zp, zp)
+        shapes[f"spatial.h{h}.a"] = (2 * zp,)
+    return shapes
+
+
 class ParamStore:
     """All learnable tensors by name, with gradient buffers."""
 
@@ -82,31 +114,7 @@ class ParamStore:
     def initialize(cls, cfg: ModelConfig, n, grid_rows, grid_cols, slots_per_day, seed):
         """Seeded init: matrices uniform in +/-sqrt(6 / (fan_in + fan_out)),
         drawn in sorted-name order; gates and biases start at zero."""
-        e = cfg.embed
-        zp, ed, heads, hidden = e.proj_dim, e.embed_dim, e.heads, e.ff_hidden
-        shapes = {
-            "embed.grid": (n, ed),
-            "embed.row": (grid_rows, ed),
-            "embed.col": (grid_cols, ed),
-            "embed.slot": (slots_per_day, ed),
-            "embed.dow": (7, ed),
-            "spatial.head_gates": (heads,),
-            "spatial.w_o": (zp, zp * heads),
-            "temporal.wq": (zp, zp), "temporal.wk": (zp, zp), "temporal.wv": (zp, zp),
-            "fusion.wq": (zp, zp), "fusion.wk": (zp, zp), "fusion.wv": (zp, zp),
-            "transfer.w_p": (zp, zp),
-            "transfer.a_p": (2 * zp,),
-            "transfer.ff_w1": (hidden, zp),
-            "transfer.ff_b1": (hidden,),
-            "transfer.ff_w2": (1, hidden),
-            "transfer.ff_b2": (1,),
-            "transfer.gate_demand": (),
-            "transfer.gate_od": (),
-        }
-        for h in range(heads):
-            shapes[f"spatial.h{h}.w_c"] = (zp, e.z)
-            shapes[f"spatial.h{h}.w_s"] = (zp, zp)
-            shapes[f"spatial.h{h}.a"] = (2 * zp,)
+        shapes = param_shapes(cfg, n, grid_rows, grid_cols, slots_per_day)
         zero_init = {"spatial.head_gates", "transfer.ff_b1", "transfer.ff_b2",
                      "transfer.gate_demand", "transfer.gate_od"}
         rng = np.random.Generator(np.random.PCG64([seed, 0]))
@@ -145,6 +153,9 @@ class ODFlowModel:
             np.zeros((store.n, store.n)), self.grid_ctx, zero_semantic=True)
         # per-slot contexts are pure functions of the store, never of params
         self._ctx_cache = {}
+        # abs slot index -> spatial embedding, shared by the forwards of one
+        # predict_many call; None outside it
+        self._shared_spatial = None
 
     def channel_plan(self, target_key):
         """Enabled channels with their resolved historical slot keys."""
@@ -189,11 +200,14 @@ class ODFlowModel:
     def forward(self, target_key, sink=None):
         """Predict one slot: returns (demand n-vector, OD n x n matrix) tensors.
 
-        ``sink`` optionally collects every attention weight matrix computed
-        along the way, keyed by layer kind.
+        Each distinct history slot's spatial pass runs once per forward, or
+        once per ``predict_many`` call while one is in progress. ``sink``
+        optionally collects every attention weight matrix computed along the
+        way, keyed by layer kind; a history slot whose embedding was reused
+        adds none.
         """
         plan = self.channel_plan(target_key)
-        cache = {}
+        cache = {} if self._shared_spatial is None else self._shared_spatial
         per_channel = []
         for kind, keys in plan:
             hists = []
@@ -218,9 +232,28 @@ class ODFlowModel:
         return self.cfg.use_ha
 
     def predict(self, target_key):
-        """Inference-only forward: plain arrays, no tape."""
-        delta_hat, od_hat = self.forward(target_key)
-        return delta_hat.data.copy(), od_hat.data.copy()
+        """Inference-only forward: (demand, OD) plain arrays, no tape."""
+        return self.predict_many([target_key])[0]
+
+    def predict_many(self, target_keys):
+        """Inference-only forwards: one (demand, OD) array pair per key.
+
+        Within the call each distinct history slot's spatial pass runs once
+        and is shared by every target that needs it. The shared embeddings
+        live only for this call, so a later parameter change is always seen.
+        """
+        if tc.tape_active():
+            raise RuntimeError("predict_many reuses untaped embeddings; "
+                               "it cannot run while a tape is recording")
+        self._shared_spatial = {}
+        try:
+            outputs = []
+            for key in target_keys:
+                delta_hat, od_hat = self.forward(key)
+                outputs.append((delta_hat.data.copy(), od_hat.data.copy()))
+            return outputs
+        finally:
+            self._shared_spatial = None
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +270,10 @@ def save_checkpoint(path, params: ParamStore, meta, ha=None):
 def open_model(source, store):
     """A trained model on a store -> (ODFlowModel, meta). ``source`` is a
     checkpoint path or an in-memory TrainResult. Raises ValueError when its
-    grid or slot length differs from the store's. The historical-average
-    tables are attached even when the model does not blend with them, since
-    evaluation scores them too."""
+    grid or slot length differs from the store's, or when a parameter is
+    missing, unexpected or shaped other than its model config needs. The
+    historical-average tables are attached even when the model does not
+    blend with them, since evaluation scores them too."""
     if isinstance(source, (str, os.PathLike)):
         params, ha, meta = load_checkpoint(source)
     else:
@@ -251,6 +285,17 @@ def open_model(source, store):
         raise ValueError(f"checkpoint slots of {meta['slot_minutes']} minutes do not match "
                          f"the store's {store.slot_minutes}")
     model_cfg = ModelConfig.from_dict(meta["model_config"])
+    shapes = param_shapes(model_cfg, store.n, store.grid.rows, store.grid.cols,
+                          store.slots_per_day)
+    for name in sorted(set(shapes) | set(params.names())):
+        if name not in params:
+            raise ValueError(f"checkpoint lacks parameter {name}")
+        if name not in shapes:
+            raise ValueError(f"checkpoint has parameter {name}, which its model config "
+                             "does not use")
+        if params[name].shape != shapes[name]:
+            raise ValueError(f"checkpoint parameter {name} has shape {params[name].shape}; "
+                             f"its model config needs {shapes[name]}")
     return ODFlowModel(store, params, model_cfg, meta["degree_norms"], ha), meta
 
 

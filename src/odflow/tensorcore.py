@@ -103,6 +103,11 @@ class Tape:
             node.grad = None
 
 
+def tape_active() -> bool:
+    """Whether ops are being recorded onto a tape right now."""
+    return _ACTIVE_TAPE is not None
+
+
 def _record(out: Tensor, parents, vjp):
     """Attach autodiff metadata when recording is active and useful."""
     tape = _ACTIVE_TAPE

@@ -164,8 +164,7 @@ class TrainResult:
     skipped_targets: int = 0
 
 
-def _target_loss(model, cfg: TrainConfig, key, actual_demand, actual_od):
-    delta_hat, od_hat = model.forward(key)
+def _target_loss(cfg: TrainConfig, delta_hat, od_hat, actual_demand, actual_od):
     loss = None
     if cfg.task in ("demand", "both"):
         loss = tc.mul(tc.smooth_l1(delta_hat, tc.constant(actual_demand)), cfg.w_demand)
@@ -179,9 +178,10 @@ def _mean_loss(model, cfg, targets, actuals):
     if not targets:
         return None
     total = 0.0
-    for key in targets:
+    for key, (delta_hat, od_hat) in zip(targets, model.predict_many(targets)):
         demand, od = actuals[(key.day_index, key.slot)]
-        total += float(_target_loss(model, cfg, key, demand, od).data)
+        loss = _target_loss(cfg, tc.constant(delta_hat), tc.constant(od_hat), demand, od)
+        total += float(loss.data)
     return total / len(targets)
 
 
@@ -228,7 +228,7 @@ def train(store, cfg: TrainConfig, progress=None):
             demand, od = actuals[(key.day_index, key.slot)]
             params.zero_grad()
             with tc.Tape() as tape:
-                loss = _target_loss(model, cfg, key, demand, od)
+                loss = _target_loss(cfg, *model.forward(key), demand, od)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise FloatingPointError(

@@ -7,6 +7,7 @@ import pytest
 
 from odflow.cli import main
 from odflow.model import load_checkpoint, save_checkpoint
+from odflow.tensorcore import load_tensors, save_tensors
 
 TINY = ["--epochs", "1", "--seed", "4", "--embed-dim", "2", "--dim", "13",
         "--heads", "1", "--ff-hidden", "4", "--h", "1"]
@@ -253,6 +254,32 @@ def test_checkpoint_on_other_slot_minutes_exits_one(pipeline, tmp_path, capsys, 
     code = main([command[0], "--graphs", str(other), "--checkpoint", str(ckpt), *command[1:]])
     assert code == 1
     assert "slots of 60 minutes do not match the store's 30" in capsys.readouterr().err
+
+
+# (edit of the checkpoint's tensors, what the message must say)
+PARAM_EDITS = {
+    "missing": (lambda t: t.pop("spatial.h0.a"), "checkpoint lacks parameter spatial.h0.a"),
+    "extra": (lambda t: t.update({"spatial.h1.a": t["spatial.h0.a"]}),
+              "checkpoint has parameter spatial.h1.a, which its model config does not use"),
+    "shape": (lambda t: t.update({"spatial.w_o": t["spatial.w_o"][:, :6]}),
+              "checkpoint parameter spatial.w_o has shape (13, 6); "
+              "its model config needs (13, 13)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_EDITS))
+@pytest.mark.parametrize("command", [EVALUATE, PREDICT], ids=["evaluate", "predict"])
+def test_checkpoint_parameter_mismatch_exits_one(pipeline, tmp_path, capsys, command, case):
+    _, _, graphs, ckpt = pipeline
+    edit, message = PARAM_EDITS[case]
+    tensors, meta = load_tensors(ckpt)
+    edit(tensors)
+    edited = tmp_path / "edited.ckpt"
+    save_tensors(edited, tensors, meta=meta)
+    code = main([command[0], "--graphs", str(graphs), "--checkpoint", str(edited),
+                 *command[1:]])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("days", [9, 5])

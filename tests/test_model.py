@@ -8,7 +8,7 @@ from odflow import tensorcore as tc
 from odflow.model import (ModelConfig, ODFlowModel, ParamStore,
                           load_checkpoint, save_checkpoint)
 from odflow.spatial import EmbeddingConfig
-from odflow.temporal import DEFAULT_CHANNELS
+from odflow.temporal import DEFAULT_CHANNELS, InsufficientHistoryError
 from odflow.trainer import degree_normalizers
 from odflow.transfer import HistoricalAverage
 
@@ -141,3 +141,75 @@ def test_gradients_reach_every_parameter(setup):
     for name, p in params.items():
         assert p.grad is not None, name
         assert np.all(np.isfinite(p.grad)), name
+
+
+# ---------------------------------------------------------------------------
+# predict_many: one spatial pass per distinct history slot
+
+
+def _two_day_keys(store):
+    return [store.key_of_abs(a) for a in range(7 * 24 + 20, 8 * 24 + 4)]
+
+
+def test_predict_many_equals_per_key_forwards_bitwise(setup):
+    store, cfg, params, model = setup
+    keys = _two_day_keys(store)
+    assert len({k.day_index for k in keys}) == 2
+    for key, (delta, od) in zip(keys, model.predict_many(keys)):
+        delta_t, od_t = model.forward(key)
+        alone_d, alone_od = model.predict(key)
+        assert np.array_equal(delta, delta_t.data) and np.array_equal(od, od_t.data)
+        assert np.array_equal(delta, alone_d) and np.array_equal(od, alone_od)
+
+
+def test_predict_many_runs_each_history_slot_once(setup, monkeypatch):
+    import odflow.model as model_mod
+
+    store, cfg, params, model = setup
+    keys = _two_day_keys(store)
+    calls = []
+    real = model_mod.spatial_layer
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "spatial_layer", counted)
+    model.predict_many(keys)
+    history = {store.abs_index(k) for key in keys
+               for _, slots in model.channel_plan(key) for k in slots}
+    assert len(calls) == len(history) + len(keys)
+    per_target = sum(len({store.abs_index(k) for _, slots in model.channel_plan(key)
+                          for k in slots}) + 1 for key in keys)
+    assert len(calls) < per_target
+
+
+def test_predict_many_refuses_to_run_on_a_tape(setup):
+    store, cfg, params, model = setup
+    with tc.Tape():
+        with pytest.raises(RuntimeError, match="tape"):
+            model.predict_many(_two_day_keys(store))
+    assert model._shared_spatial is None
+
+
+def test_predict_many_sees_a_parameter_change(setup):
+    store, cfg, params, model = setup
+    own = ParamStore({k: tc.parameter(v) for k, v in params.copy_values().items()})
+    changed = ODFlowModel(store, own, cfg, model.degree_norms, model.ha)
+    keys = _two_day_keys(store)
+    changed.predict_many(keys)
+    own["spatial.h0.w_s"].data *= 1.5
+    fresh_params = ParamStore({k: tc.parameter(v) for k, v in own.copy_values().items()})
+    fresh = ODFlowModel(store, fresh_params, cfg, model.degree_norms, model.ha)
+    for (d1, od1), (d2, od2) in zip(changed.predict_many(keys), fresh.predict_many(keys)):
+        assert np.array_equal(d1, d2) and np.array_equal(od1, od2)
+    before = model.predict_many(keys)
+    assert not all(np.array_equal(a[1], b[1]) for a, b in zip(before, fresh.predict_many(keys)))
+
+
+def test_predict_many_drops_its_cache_when_a_forward_fails(setup):
+    store, cfg, params, model = setup
+    keys = _two_day_keys(store) + [store.key_of_abs(0)]   # day 0 lacks history
+    with pytest.raises(InsufficientHistoryError):
+        model.predict_many(keys)
+    assert model._shared_spatial is None

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from odflow import tensorcore as tc
 
@@ -188,6 +191,41 @@ def test_primitive_gradcheck(name, rng):
 
     errs = tc.gradcheck(loss_fn, params)
     assert errs.max() < 1e-4, f"{name}: max rel err {errs.max():.2e}"
+
+
+def _projected_gradcheck(params, build, rng):
+    # positive inputs and cotangent keep every gradient entry away from 0,
+    # where a relative error says nothing
+    cotangent = rng.uniform(0.5, 1.5, size=build(*params.values()).shape)
+
+    def loss_fn():
+        out = build(*params.values())
+        return tc.sum(tc.mul(out, tc.constant(cotangent)))
+
+    return tc.gradcheck(loss_fn, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, max_side=3),
+       st.sampled_from(["add", "mul"]), st.integers(0, 2 ** 32 - 1))
+def test_broadcasting_add_mul_gradcheck_property(shapes, op, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    fn = tc.add if op == "add" else tc.mul
+    params = {f"p{i}": tc.parameter(rng.uniform(0.5, 1.5, size=shape))
+              for i, shape in enumerate(shapes.input_shapes)}
+    errs = _projected_gradcheck(params, fn, rng)
+    assert errs.max() < 1e-4, f"{op} {shapes.input_shapes}: max rel err {errs.max():.2e}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3), st.data(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_sum_over_an_axis_gradcheck_property(shape, data, keepdims, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    axis = data.draw(st.sampled_from([None, *range(len(shape))]))
+    params = {"p0": tc.parameter(rng.uniform(0.5, 1.5, size=shape))}
+    errs = _projected_gradcheck(params, lambda a: tc.sum(a, axis=axis, keepdims=keepdims), rng)
+    assert errs.max() < 1e-4, f"sum {shape} axis={axis}: max rel err {errs.max():.2e}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import TINY_EMBED, synthetic_store
 from odflow import tensorcore as tc
-from odflow.model import ParamStore, load_checkpoint
+from odflow.model import ODFlowModel, ParamStore, load_checkpoint
 from odflow.trainer import (Adam, Sgd, TrainConfig, save_result, split_days,
                             train, write_loss_log)
 
@@ -177,3 +177,21 @@ def test_config_validation():
         TrainConfig(task="everything").validate()
     with pytest.raises(ValueError):
         TrainConfig(batch_size=2).validate()
+
+
+def test_validation_loss_log_matches_per_target_forwards(tmp_path, monkeypatch, small_store):
+    # the validation loss comes from predict_many; forcing it back to one
+    # independent forward per target must write the same loss log, byte for byte
+    cfg = TrainConfig(**{**TINY_TRAIN, "epochs": 2, "seed": 5})
+    shared = train(small_store, cfg)
+    assert shared.meta["split"]["val"] == [9]
+
+    def per_target(self, keys):
+        return [tuple(t.data.copy() for t in self.forward(key)) for key in keys]
+
+    monkeypatch.setattr(ODFlowModel, "predict_many", per_target)
+    alone = train(small_store, cfg)
+    write_loss_log(tmp_path / "shared.csv", shared.loss_log)
+    write_loss_log(tmp_path / "alone.csv", alone.loss_log)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    assert all(v is not None for _, _, v in shared.loss_log)
